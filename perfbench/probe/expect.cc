@@ -36,13 +36,13 @@ cmdExpectAlign(const Args &a)
     }
     const auto queries = seq::readFastaFile(a.str("query"));
     const auto refs = seq::readFastaFile(a.str("reference"));
-    const int max_len = static_cast<int>(a.num("max-len", 4096));
 
+    // dphls_align's defaults: 32 PEs, band 64, 4096-long sequences.
     sim::EngineConfig ecfg;
-    ecfg.numPe = static_cast<int>(a.num("npe", 32));
-    ecfg.bandWidth = static_cast<int>(a.num("band", 64));
-    ecfg.maxQueryLength = max_len;
-    ecfg.maxReferenceLength = max_len;
+    ecfg.numPe = 32;
+    ecfg.bandWidth = 64;
+    ecfg.maxQueryLength = 4096;
+    ecfg.maxReferenceLength = 4096;
     sim::SystolicAligner<K> engine(ecfg);
     const ref::MatrixAligner<K> golden(K::defaultParams(), ecfg.bandWidth);
 

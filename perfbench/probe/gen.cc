@@ -6,7 +6,7 @@
  *     it with substitutions and indels) as two FASTA files.
  *   gen-map: a synthetic genome plus reads drawn from it; short reads
  *     of one length and long reads whose lengths are evenly spaced over
- *     [long-min, long-max] in a seeded order, so the total work of a
+ *     [1 kb, 8 kb] in a seeded order, so the total work of a
  *     read set depends little on the seed. A truth table records each
  *     read's origin.
  */
@@ -23,21 +23,33 @@ namespace perfbench {
 
 using namespace dphls;
 
+namespace {
+
+// align-batch pairs: ~1 kb at ~5% divergence.
+constexpr int kAlignLen = 1000;
+constexpr double kAlignSub = 0.03;
+constexpr double kAlignIndel = 0.02;
+
+// map-reads reads: 150 bp short reads, 1-8 kb long reads.
+constexpr int kShortLen = 150;
+constexpr int kLongMin = 1000;
+constexpr int kLongMax = 8000;
+constexpr double kReadError = 0.04;
+
+} // namespace
+
 int
 cmdGenAlign(const Args &a)
 {
     const int pairs = static_cast<int>(a.num("pairs", 1));
-    const int len = static_cast<int>(a.num("len", 1000));
-    const double sub = a.num("sub", 0.03);
-    const double indel = a.num("indel", 0.02);
     seq::Rng rng(static_cast<uint64_t>(a.num("seed", 1)) * 0x9e37 + 11);
     std::vector<seq::DnaSequence> q, r;
     q.reserve(static_cast<size_t>(pairs));
     r.reserve(static_cast<size_t>(pairs));
     for (int i = 0; i < pairs; i++) {
         char name[32];
-        auto ref = seq::randomDna(len, rng);
-        auto qry = seq::mutateDna(ref, sub, indel, rng);
+        auto ref = seq::randomDna(kAlignLen, rng);
+        auto qry = seq::mutateDna(ref, kAlignSub, kAlignIndel, rng);
         std::snprintf(name, sizeof name, "r%06d", i);
         ref.name = name;
         std::snprintf(name, sizeof name, "q%06d", i);
@@ -56,10 +68,6 @@ cmdGenMap(const Args &a)
     const int genome_len = static_cast<int>(a.num("genome", 2000000));
     const int n_short = static_cast<int>(a.num("short", 400));
     const int n_long = static_cast<int>(a.num("long", 200));
-    const int short_len = static_cast<int>(a.num("short-len", 150));
-    const int long_min = static_cast<int>(a.num("long-min", 1000));
-    const int long_max = static_cast<int>(a.num("long-max", 8000));
-    const double error = a.num("error", 0.04);
     seq::Rng rng(static_cast<uint64_t>(a.num("seed", 1)) * 0x51ed + 7);
 
     auto genome = seq::makeReferenceGenome(genome_len, rng);
@@ -74,7 +82,7 @@ cmdGenMap(const Args &a)
     std::vector<int> long_lens(static_cast<size_t>(n_long));
     for (int k = 0; k < n_long; k++)
         long_lens[static_cast<size_t>(k)] =
-            long_min + static_cast<int>((long_max - long_min) *
+            kLongMin + static_cast<int>((kLongMax - kLongMin) *
                                         (k + 0.5) / std::max(1, n_long));
     for (size_t i = long_lens.size(); i > 1; i--)
         std::swap(long_lens[i - 1], long_lens[rng.below(i)]);
@@ -86,10 +94,10 @@ cmdGenMap(const Args &a)
     int si = 0, li = 0;
     for (const char cls : order) {
         seq::ReadSimConfig rc;
-        rc.errorRate = error;
+        rc.errorRate = kReadError;
         char name[32];
         if (cls == 'S') {
-            rc.readLength = short_len;
+            rc.readLength = kShortLen;
             std::snprintf(name, sizeof name, "s%06d", si++);
         } else {
             rc.readLength = long_lens[static_cast<size_t>(li)];

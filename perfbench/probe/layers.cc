@@ -281,11 +281,11 @@ interactiveRequest(seq::Rng &rng)
 {
     serve::AlignRequest req;
     req.trafficClass = serve::TrafficClass::Interactive;
-    req.deadlineMicros = 1000000;
+    req.deadlineMicros = static_cast<uint64_t>(kDeadlineMs * 1e3);
     req.tenant = "interactive";
     serve::WireJob job;
     for (auto *v : {&job.query, &job.reference}) {
-        v->resize(static_cast<size_t>(rng.range(32, 256)));
+        v->resize(static_cast<size_t>(rng.range(kMinLen, kMaxLen)));
         for (auto &c : *v)
             c = static_cast<uint8_t>(rng.below(4));
     }
@@ -603,7 +603,7 @@ tileProbe(const Args &a, const std::map<std::string, Truth> &truth,
     sim::SystolicAligner<kernels::GlobalAffine> engine(ecfg);
     const int tile = mcfg.tiling.tileSize;
     const int step = tile - mcfg.tiling.tileOverlap;
-    const int max_tiles = static_cast<int>(a.num("tiles", 64));
+    constexpr int max_tiles = 64;
     double cells = 0;
     int tiles = 0;
     seq::FastaStream rs(a.str("map-reads"));
@@ -648,7 +648,7 @@ closureOf(Tracer &tr, F &&f)
 /**
  * trace subcommand. Options: --workload --seed --align-query
  * --align-ref --map-ref --map-reads --map-truth --socket --rate
- * --burst-seconds --service-seconds --tiles --spans.
+ * --burst-seconds --service-seconds --spans.
  *
  * bench.trace_overhead is the traced replay's wall time over the
  * untraced one, minus 1, for the workload being traced (serve-short:

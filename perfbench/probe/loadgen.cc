@@ -28,15 +28,18 @@ using namespace dphls;
 
 namespace {
 
-/** One pre-built request of the schedule. */
+constexpr int kSamples = 16;         //!< responses checked in-process
+constexpr double kDrainLimitS = 20;  //!< give up on stragglers after
+
+/** One request of the schedule, pre-built unless it is closed-loop. */
 struct Request
 {
-    double due = 0; //!< seconds after its phase starts
+    double due = 0; //!< seconds after its phase starts (open loop)
     int phase = 0;
     bool interactive = false;
     uint32_t pairs = 0;
     double cells = 0;
-    std::vector<uint8_t> payload;
+    std::vector<uint8_t> payload; //!< empty until sent (closed loop)
 };
 
 /** Receiver-side record of one request id. */
@@ -70,6 +73,27 @@ arrivals(seq::Rng &rng, double rate, double seconds)
     return t;
 }
 
+/** One request of the mix: a single interactive pair or a bulk chunk.
+ *  Adds its cells (sum of qlen * rlen) to @p cells. */
+serve::AlignRequest
+makeRequest(seq::Rng &rng, bool interactive, double &cells)
+{
+    serve::AlignRequest ar;
+    ar.trafficClass = interactive ? serve::TrafficClass::Interactive
+                                  : serve::TrafficClass::Bulk;
+    ar.deadlineMicros =
+        interactive ? static_cast<uint64_t>(kDeadlineMs * 1e3) : 0;
+    ar.tenant = interactive ? "interactive" : "bulk";
+    for (int j = 0; j < (interactive ? 1 : kBulkChunk); j++) {
+        serve::WireJob job{randomCodes(rng, kMinLen, kMaxLen),
+                           randomCodes(rng, kMinLen, kMaxLen)};
+        cells += static_cast<double>(job.query.size()) *
+                 static_cast<double>(job.reference.size());
+        ar.jobs.push_back(std::move(job));
+    }
+    return ar;
+}
+
 Clock::time_point
 after(Clock::time_point t, double s)
 {
@@ -83,49 +107,44 @@ LoadResult
 runLoad(const LoadConfig &cfg, bool shutdown, Tracer &tracer)
 {
     LoadResult out;
-    // ---- pre-build every request before the clock starts
+    // ---- pre-build every open-loop request before the clock starts
     seq::Rng rng(cfg.seed * 0x2545F491 + 3);
+    seq::Rng closed_rng(cfg.seed * 0x9E3779B9 + 5);
     std::vector<Request> reqs(1); // request id 0 is unused
     std::map<uint64_t, serve::WireJob> sample_jobs;
     std::optional<Tracer::Scope> step(std::in_place, tracer, "gen.prebuild");
     for (size_t p = 0; p < cfg.phases.size(); p++) {
         const LoadPhase &ph = cfg.phases[p];
+        if (ph.inFlight > 0) {
+            Request r;
+            r.phase = static_cast<int>(p);
+            r.interactive = true;
+            r.pairs = 1;
+            reqs.insert(reqs.end(), static_cast<size_t>(ph.requests), r);
+            continue;
+        }
         std::vector<std::pair<double, bool>> due;
         for (const double t : arrivals(rng, ph.interactiveRps, ph.seconds))
             due.push_back({t, true});
-        for (const double t : arrivals(rng, cfg.bulkRps, ph.seconds))
+        for (const double t : arrivals(rng, kBulkRps, ph.seconds))
             due.push_back({t, false});
         std::sort(due.begin(), due.end());
         const size_t n_int = static_cast<size_t>(
             std::count_if(due.begin(), due.end(),
                           [](const auto &d) { return d.second; }));
-        const size_t stride =
-            std::max<size_t>(1, n_int / std::max(1, cfg.samples));
+        const size_t stride = std::max<size_t>(1, n_int / kSamples);
         size_t int_seen = 0;
         for (const auto &[t, interactive] : due) {
             Request r;
             r.due = t;
             r.phase = static_cast<int>(p);
             r.interactive = interactive;
-            serve::AlignRequest ar;
-            ar.trafficClass = interactive ? serve::TrafficClass::Interactive
-                                          : serve::TrafficClass::Bulk;
-            ar.deadlineMicros =
-                interactive ? static_cast<uint64_t>(cfg.deadlineMs * 1e3)
-                            : 0;
-            ar.tenant = interactive ? "interactive" : "bulk";
-            const int njobs = interactive ? 1 : cfg.bulkChunk;
-            for (int j = 0; j < njobs; j++) {
-                serve::WireJob job{randomCodes(rng, cfg.minLen, cfg.maxLen),
-                                   randomCodes(rng, cfg.minLen, cfg.maxLen)};
-                r.cells += static_cast<double>(job.query.size()) *
-                           static_cast<double>(job.reference.size());
-                ar.jobs.push_back(std::move(job));
-            }
-            r.pairs = static_cast<uint32_t>(njobs);
+            r.pairs = static_cast<uint32_t>(interactive ? 1 : kBulkChunk);
+            const serve::AlignRequest ar =
+                makeRequest(rng, interactive, r.cells);
             const uint64_t rid = reqs.size();
-            if (interactive && p == 0 && int_seen++ % stride == 0 &&
-                sample_jobs.size() < static_cast<size_t>(cfg.samples))
+            if (interactive && p == cfg.samplePhase &&
+                int_seen++ % stride == 0 && sample_jobs.size() < kSamples)
                 sample_jobs[rid] = ar.jobs.front();
             {
                 Tracer::Scope s(tracer, "serve.encode_req", rid);
@@ -200,42 +219,75 @@ runLoad(const LoadConfig &cfg, bool shutdown, Tracer &tracer)
     });
     const auto waitFor = [&](double limit_s, const auto &done) {
         std::unique_lock lk(mutex);
-        cv.wait_until(lk, after(Clock::now(), limit_s),
-                      [&] { return dead || done(); });
+        return cv.wait_until(lk, after(Clock::now(), limit_s),
+                             [&] { return dead || done(); }) &&
+               !dead;
     };
 
     // ---- send, phase by phase; each phase drains before the next
     step.reset();
     bool transport_ok = true;
     uint64_t rid = 1;
+    // Latency origin of each request: its due time (open loop) or its
+    // send time (closed loop).
+    std::vector<Clock::time_point> origin(reqs.size());
     for (size_t p = 0; p < cfg.phases.size() && transport_ok; p++) {
         PhaseResult pr;
         pr.phase = cfg.phases[p];
+        const int in_flight = pr.phase.inFlight;
         const uint64_t first = rid;
-        const Clock::time_point start = after(Clock::now(), 0.02);
+        uint64_t settled0 = 0;
+        {
+            std::lock_guard lk(mutex);
+            settled0 = settled;
+        }
+        const Clock::time_point start =
+            after(Clock::now(), in_flight > 0 ? 0.0 : 0.02);
         Clock::time_point last_due = start;
         for (; rid < reqs.size() && reqs[rid].phase == static_cast<int>(p);
              rid++) {
-            const Request &r = reqs[rid];
-            const Clock::time_point due = after(start, r.due);
-            {
-                Tracer::Scope s(tracer, "gen.sleep");
-                std::this_thread::sleep_until(due);
+            Request &r = reqs[rid];
+            if (in_flight > 0) {
+                // Built while earlier requests are in flight, so memory
+                // stays bounded and the daemon still sets the rate.
+                r.payload = serve::encodeAlignRequest(
+                    makeRequest(closed_rng, true, r.cells));
+                const uint64_t sent = rid - first;
+                if (!waitFor(kDrainLimitS, [&] {
+                        return sent - (settled - settled0) <
+                               static_cast<uint64_t>(in_flight);
+                    })) {
+                    transport_ok = false; // the daemon stalled or left
+                    break;
+                }
+                origin[rid] = Clock::now();
+            } else {
+                origin[rid] = after(start, r.due);
+                {
+                    Tracer::Scope s(tracer, "gen.sleep");
+                    std::this_thread::sleep_until(origin[rid]);
+                }
+                pr.lagMs.push_back(1e3 * seconds(origin[rid], Clock::now()));
             }
-            pr.lagMs.push_back(1e3 * seconds(due, Clock::now()));
-            last_due = due;
+            last_due = origin[rid];
             pr.sent++;
             Tracer::Scope s(tracer, "serve.send", rid);
-            if (!serve::writeFrame(fd, serve::MsgType::Align, rid,
-                                   r.payload)) {
+            const bool written =
+                serve::writeFrame(fd, serve::MsgType::Align, rid, r.payload);
+            if (in_flight > 0)
+                std::vector<uint8_t>().swap(r.payload);
+            if (!written) {
                 out.protocolErrors++;
                 transport_ok = false;
                 break;
             }
         }
+        // Requests left unsent by a failure count as unanswered.
+        while (rid < reqs.size() && reqs[rid].phase == static_cast<int>(p))
+            rid++;
         const uint64_t end = rid;
         Tracer::Scope s(tracer, "gen.drain_wait");
-        waitFor(cfg.drainLimitS, [&] { return settled >= end - 1; });
+        waitFor(kDrainLimitS, [&] { return settled >= end - 1; });
         std::lock_guard lk(mutex);
         Clock::time_point last = start;
         for (uint64_t i = first; i < end; i++) {
@@ -246,7 +298,7 @@ runLoad(const LoadConfig &cfg, bool shutdown, Tracer &tracer)
                 continue;
             }
             last = std::max(last, o.at);
-            const double ms = 1e3 * seconds(after(start, r.due), o.at);
+            const double ms = 1e3 * seconds(origin[i], o.at);
             if (o.state == 2) {
                 pr.rejected++;
                 continue;
@@ -338,11 +390,13 @@ printList(const char *key, const std::vector<double> &v)
 
 /**
  * loadgen subcommand: --socket --seed --rate --seconds [--warmup S]
- * [--sweep r1,r2,.. --sweep-seconds S] [--bulk-rps --bulk-chunk
- * --deadline-ms --shutdown 0|1]. A warm-up phase at the fixed rate
- * runs first and is not reported; the first reported phase is the
- * fixed rate, the rest the sweep. Prints one JSON object with every
- * latency sample (ms, in due-time order) for the caller to reduce.
+ * [--closed-requests N --in-flight W] [--sweep r1,r2,.. --sweep-seconds
+ * S] [--shutdown 0|1]. A warm-up phase at the fixed rate runs first and
+ * is not reported. The reported phases are the fixed rate (whose
+ * sampled responses are checked in-process), then the closed loop of N
+ * requests with W outstanding when N > 0, then the sweep. Prints one
+ * JSON object with the request mix and every latency sample (ms, in
+ * due-time order) for the caller to reduce.
  */
 int
 cmdLoadgen(const Args &a)
@@ -350,11 +404,12 @@ cmdLoadgen(const Args &a)
     LoadConfig cfg;
     cfg.socket = a.str("socket");
     cfg.seed = static_cast<uint64_t>(a.num("seed", 1));
-    cfg.bulkRps = a.num("bulk-rps", cfg.bulkRps);
-    cfg.bulkChunk = static_cast<int>(a.num("bulk-chunk", cfg.bulkChunk));
-    cfg.deadlineMs = a.num("deadline-ms", cfg.deadlineMs);
     cfg.phases.push_back({a.num("rate", 1000), a.num("warmup", 0.5)});
+    cfg.samplePhase = cfg.phases.size();
     cfg.phases.push_back({a.num("rate", 1000), a.num("seconds", 5)});
+    if (a.num("closed-requests", 0) > 0)
+        cfg.phases.push_back({0, 0, static_cast<int>(a.num("in-flight", 1)),
+                              static_cast<int>(a.num("closed-requests", 0))});
     if (a.has("sweep")) {
         std::stringstream ss(a.str("sweep"));
         std::string tok;
@@ -364,19 +419,23 @@ cmdLoadgen(const Args &a)
     Tracer off(false);
     const LoadResult r = runLoad(cfg, a.num("shutdown", 0) != 0, off);
 
-    std::printf("{\"protocol_errors\":%llu,\"accounting_closed\":%s,"
+    std::printf("{\"bulk_rps\":%g,\"bulk_chunk\":%d,\"deadline_ms\":%g,"
+                "\"min_len\":%d,\"max_len\":%d,"
+                "\"protocol_errors\":%llu,\"accounting_closed\":%s,"
                 "\"isa_tier\":\"%s\",\"samples_checked\":%d,"
                 "\"sample_mismatches\":%d,\"phases\":[",
+                kBulkRps, kBulkChunk, kDeadlineMs, kMinLen, kMaxLen,
                 static_cast<unsigned long long>(r.protocolErrors),
                 r.statsOk && r.stats.accountingClosed ? "true" : "false",
                 r.stats.isaTier.c_str(), r.samplesChecked,
                 r.sampleMismatches);
     for (size_t i = 1; i < r.phases.size(); i++) {
         const PhaseResult &p = r.phases[i];
-        std::printf("%s{\"rate\":%.17g,\"sent\":%llu,\"answered\":%llu,"
+        std::printf("%s{\"rate\":%.17g,\"in_flight\":%d,"
+                    "\"sent\":%llu,\"answered\":%llu,"
                     "\"rejected\":%llu,\"unanswered\":%llu,\"pairs\":%llu,"
                     "\"cells\":%.17g,\"window_s\":%.17g,\"drain_s\":%.17g,",
-                    i > 1 ? "," : "", p.phase.interactiveRps,
+                    i > 1 ? "," : "", p.phase.interactiveRps, p.phase.inFlight,
                     static_cast<unsigned long long>(p.sent),
                     static_cast<unsigned long long>(p.answered),
                     static_cast<unsigned long long>(p.rejected),

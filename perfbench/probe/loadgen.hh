@@ -1,14 +1,19 @@
 /**
  * @file
- * Open-loop load generator for dphls_serve, timed from due times.
+ * Load generator for dphls_serve: open loop timed from due times, and
+ * closed loop.
  *
- * Every request of every phase is generated and encoded before the
- * clock starts. The sending thread then walks the schedule, sleeping
- * until each request's due time; a receiving thread matches responses
- * by request id, so responses are drained even while a send blocks.
+ * Every request of every open-loop phase is generated and encoded
+ * before the clock starts. The sending thread then walks the schedule,
+ * sleeping until each request's due time; a receiving thread matches
+ * responses by request id, so responses are drained even while a send
+ * blocks.
  * Latency runs from the due time, not the send time, so a stall of the
  * generator shows as latency on the requests it delayed, and how late
- * the generator ran is reported as lag. One connection, two threads.
+ * the generator ran is reported as lag. A closed-loop phase instead
+ * keeps a fixed number of requests outstanding, so its throughput is
+ * the daemon's; it builds each request while earlier ones are in
+ * flight, so its memory stays bounded. One connection, two threads.
  */
 
 #ifndef PERFBENCH_LOADGEN_HH
@@ -24,39 +29,49 @@
 
 namespace perfbench {
 
+/** The serve-short request mix, shared by the untraced and traced runs. */
+constexpr double kBulkRps = 80;      //!< bulk requests/s in open-loop phases
+constexpr int kBulkChunk = 8;        //!< pairs per bulk request
+constexpr double kDeadlineMs = 1000; //!< interactive deadline (meetable)
+constexpr int kMinLen = 32;          //!< interactive pair lengths, bp
+constexpr int kMaxLen = 256;
+
 struct LoadPhase
 {
+    /** Open loop: Poisson interactive arrivals at this rate for
+     *  `seconds`, plus bulk requests at kBulkRps. */
     double interactiveRps = 0;
     double seconds = 0;
+    /** Closed loop when > 0: `requests` interactive requests, each sent
+     *  as soon as fewer than `inFlight` of the phase are unanswered, so
+     *  the daemon sets the rate. No bulk requests. */
+    int inFlight = 0;
+    int requests = 0;
 };
 
 struct LoadConfig
 {
     std::string socket;
     uint64_t seed = 1;
-    double bulkRps = 80;    //!< bulk requests per second, every phase
-    int bulkChunk = 8;      //!< pairs per bulk request
-    double deadlineMs = 1000; //!< interactive deadline (meetable)
-    int minLen = 32;
-    int maxLen = 256;
-    int samples = 16;       //!< interactive responses checked in-process
-    double drainLimitS = 20; //!< give up on a phase's stragglers after
+    /** Phase whose interactive responses are checked in-process. */
+    size_t samplePhase = 0;
     std::vector<LoadPhase> phases;
 };
 
 struct PhaseResult
 {
     LoadPhase phase;
-    std::vector<double> interactiveMs; //!< due -> response, answered
+    /** due -> response, answered (closed loop: send -> response) */
+    std::vector<double> interactiveMs;
     std::vector<double> bulkMs;
-    std::vector<double> lagMs;         //!< send - due, every request
+    std::vector<double> lagMs;         //!< send - due, open loop only
     uint64_t sent = 0;
     uint64_t answered = 0; //!< AlignOk responses
     uint64_t rejected = 0;
     uint64_t unanswered = 0;
     uint64_t pairs = 0;    //!< pairs in AlignOk responses
     double cells = 0;      //!< sum of qlen * rlen over those pairs
-    double windowS = 0;    //!< first due time -> last response
+    double windowS = 0;    //!< phase start -> last response
     double drainS = 0;     //!< last due time -> last response
 };
 

@@ -47,32 +47,49 @@ ROOT = os.path.dirname(HERE)
 # Interactive latency limit of serve-short (also stated in BENCHMARK.json).
 SLO_MS = 20.0
 # serve-short offered load: interactive single-pair requests per second
-# at the fixed rate, the sweep for sustained_rps, and the bulk class.
+# at the fixed rate and in the sweep for sustained_rps. The request mix
+# (bulk rate and size, deadline, pair lengths) is fixed in the probe
+# (perfbench/probe/loadgen.hh) and echoed in its output.
 FIXED_RPS = 2000.0
 SWEEP_RPS = [8000.0, 16000.0, 24000.0, 32000.0]
-BULK_RPS = 80.0
-BULK_CHUNK = 8
-DEADLINE_MS = 1000.0
 WARMUP_S = 0.5
+# serve-short throughput phase: a closed loop that keeps this many
+# interactive requests outstanding, so the daemon sets the rate. Its
+# request count is CLOSED_SIZING_RPS x its share of --seconds, the same
+# for every seed.
+CLOSED_IN_FLIGHT = 32
+CLOSED_SIZING_RPS = 15000
 # workloads::MapperConfig::windowPad: a read is placed when its reported
 # start lies this close to its true origin.
 MAP_WINDOW_PAD = 64
 
-# Shares of --seconds spent at the fixed rate and at each swept rate.
-SERVE_FIXED_SHARE = 0.45
-SERVE_SWEEP_SHARE = 0.1
+# Shares of --seconds spent at the fixed rate, in the closed loop (at
+# about CLOSED_SIZING_RPS) and at each swept rate. The daemon's rate
+# swings by tens of percent from one second to the next on a shared
+# host, so the closed loop gets most of the run.
+SERVE_FIXED_SHARE = 0.15
+SERVE_CLOSED_SHARE = 0.7
+SERVE_SWEEP_SHARE = 0.03
 SERVE_WINDOWS = 9
+
+# align-batch's set-up input: one pair, cut to this many bp from the
+# first seeded pair, so that the alignment itself is a small share of it.
+SETUP_PAIR_BP = 64
 
 SIZES = {
     "full": {
         "align_pairs": 1000, "align_samples": 6,
         "map": (2000000, 160, 80),  # genome bp, short reads, long reads
-        "setup_repeats": 15, "map_setup_repeats": 5,
+        # align: set-up runs after each measured invocation; serve:
+        # daemon launches, half before and half after the load.
+        "align_setup_repeats": 4, "serve_setup_repeats": 60,
+        "map_setup_repeats": 5,
     },
     "smoke": {
         "align_pairs": 40, "align_samples": 2,
         "map": (100000, 12, 4),
-        "setup_repeats": 3, "map_setup_repeats": 2,
+        "align_setup_repeats": 1, "serve_setup_repeats": 4,
+        "map_setup_repeats": 2,
     },
 }
 
@@ -82,38 +99,61 @@ class BenchError(Exception):
 
 
 class Processes:
-    """Every child started by the run; all are stopped and reaped at exit."""
+    """Every child started by the run; all are stopped and reaped at exit.
+
+    A child's kill timer starts with the child, so one that hangs while
+    its output is being read is still killed on time. Each child leads
+    its own process group, and the whole group is killed, so nothing it
+    started keeps its pipes open. A child is reaped only after its
+    timer can no longer fire, so a timer never signals a reused pid."""
 
     def __init__(self):
         self.live = []
+        self.lock = threading.Lock()
 
-    def start(self, cmd, **kw):
-        p = subprocess.Popen(cmd, **kw)
+    def start(self, cmd, timeout, **kw):
+        """Start @p cmd; it is killed if it runs longer than @p timeout s."""
+        p = subprocess.Popen(cmd, start_new_session=True, **kw)
+        p.done = p.expired = False
+        p.timer = threading.Timer(timeout, self._expire, (p,))
+        p.timer.daemon = True
         self.live.append(p)
+        p.timer.start()
         return p
 
-    def wait(self, p, timeout):
-        """Reap @p p; returns (exit code, peak RSS in MB). Kills it after
-        @p timeout seconds."""
-        timer = threading.Timer(timeout, os.kill, (p.pid, signal.SIGKILL))
-        timer.start()
-        try:
-            _, status, ru = os.wait4(p.pid, 0)
-        finally:
-            expired = not timer.is_alive()
-            timer.cancel()
+    def _expire(self, p):
+        with self.lock:
+            if not p.done:
+                p.expired = True
+                os.killpg(p.pid, signal.SIGKILL)
+
+    def exited(self, p):
+        """Whether @p p has exited, without reaping it."""
+        return os.waitid(os.P_PID, p.pid,
+                         os.WEXITED | os.WNOHANG | os.WNOWAIT) is not None
+
+    def wait(self, p):
+        """Reap @p p; returns (exit code, peak RSS in MB)."""
+        os.waitid(os.P_PID, p.pid, os.WEXITED | os.WNOWAIT)
+        with self.lock:
+            p.done = True
+        p.timer.cancel()
+        _, status, ru = os.wait4(p.pid, 0)
         self.live.remove(p)
         p.returncode = os.waitstatus_to_exitcode(status)
-        if expired:
+        if p.expired:
             raise BenchError(f"{os.path.basename(p.args[0])} timed out")
         return p.returncode, ru.ru_maxrss / 1024.0
 
     def kill(self, p):
         if p in self.live:
-            try:
-                p.send_signal(signal.SIGKILL)
-            except ProcessLookupError:
-                pass
+            with self.lock:
+                p.done = True
+                try:
+                    os.killpg(p.pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+            p.timer.cancel()
             p.wait()
             self.live.remove(p)
 
@@ -129,12 +169,12 @@ def run(cmd, timeout=170, stdout_path=None):
     """Run @p cmd to completion; returns (stdout text, wall s, peak RSS MB)."""
     out = open(stdout_path, "w") if stdout_path else subprocess.PIPE
     t0 = time.perf_counter()
-    p = PROCS.start(cmd, stdout=out, stderr=subprocess.PIPE)
+    p = PROCS.start(cmd, timeout, stdout=out, stderr=subprocess.PIPE)
     text = ""
     if not stdout_path:
         text = p.stdout.read().decode()
     err = p.stderr.read().decode()
-    code, rss = PROCS.wait(p, timeout)
+    code, rss = PROCS.wait(p)
     wall = time.perf_counter() - t0
     if stdout_path:
         out.close()
@@ -157,9 +197,9 @@ def build():
     tgt = ["cmake", "--build", bdir, "-j", str(min(4, os.cpu_count() or 1)),
            "--target", "perfbench_probe", "dphls_align", "dphls_serve", "dphls_map"]
     for cmd in (cfg, tgt):
-        p = PROCS.start(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+        p = PROCS.start(cmd, 880, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         err = p.stderr.read().decode()
-        code, _ = PROCS.wait(p, 880)
+        code, _ = PROCS.wait(p)
         if code != 0:
             raise BenchError(f"build failed: {err.strip()[-800:]}")
     return {"probe": os.path.join(bdir, "perfbench_probe"),
@@ -242,12 +282,13 @@ def parse_align(text, expect_pairs):
     return rows
 
 
-def measure(cmd, out_path, seconds, check):
+def measure(cmd, out_path, seconds, check, between=None):
     """One warm-up invocation of @p cmd, then invocations until @p seconds
     have passed (at least three). @p check(output) returns the number of
-    wrong items and sees every output, the warm-up's too. Returns the
-    measured walls, their peak RSS (MB), the invocations checked and the
-    wrong items."""
+    wrong items and sees every output, the warm-up's too. @p between(),
+    if given, runs after each measured invocation, outside its timing.
+    Returns the measured walls, their peak RSS (MB), the invocations
+    checked and the wrong items."""
     walls, rss, runs, wrong = [], [], 0, 0
     t_end = None
     while t_end is None or len(walls) < 3 or time.perf_counter() < t_end:
@@ -259,6 +300,8 @@ def measure(cmd, out_path, seconds, check):
             continue
         walls.append(wall)
         rss.append(peak)
+        if between:
+            between()
     return walls, rss, runs, wrong
 
 
@@ -273,11 +316,21 @@ def align_batch(bins, work, seed, seconds, sz, rep):
     n = sz["align_pairs"]
     run([bins["probe"], "gen-align", "--seed", str(seed), "--pairs", str(n),
          "--query", q, "--reference", r])
-    run([bins["probe"], "gen-align", "--seed", str(seed), "--pairs", "1",
-         "--query", q1, "--reference", r1])
+    for src, dst in ((q, q1), (r, r1)):
+        with open(src) as f:
+            name, residues = f.readline(), ""
+            while len(residues) < SETUP_PAIR_BP:
+                residues += f.readline().strip()
+        with open(dst, "w") as f:
+            f.write(name + residues[:SETUP_PAIR_BP] + "\n")
     cmd = [bins["align"], "--kernel", "local-affine", "--threads", "3"]
-    setups = [run(cmd + ["--query", q1, "--reference", r1])[1]
-              for _ in range(sz["setup_repeats"])]
+    # Set-up runs are spread over the measured period, so their median
+    # sees the same host as the invocations.
+    setups = []
+
+    def set_up():
+        for _ in range(sz["align_setup_repeats"]):
+            setups.append(run(cmd + ["--query", q1, "--reference", r1])[1])
 
     ref_rows, bad, digests = None, set(), set()
 
@@ -294,8 +347,10 @@ def align_batch(bins, work, seed, seconds, sz, rep):
         return sum(1 for i, row in enumerate(rows) if row != ref_rows[i] or i in bad)
 
     walls, rss, runs, failed = measure(cmd + ["--query", q, "--reference", r],
-                                       os.path.join(work, "align.out"), seconds, check)
-    rep(f"# align-batch: {runs} invocations of {n} pairs (1 warm-up), "
+                                       os.path.join(work, "align.out"), seconds, check,
+                                       set_up)
+    rep(f"# align-batch: {runs} invocations of {n} pairs (1 warm-up), {len(setups)} "
+        f"set-up runs on one {SETUP_PAIR_BP} bp pair, "
         f"{len(digests)} distinct output digest(s) {sorted(digests)}, "
         f"{sz['align_samples']} pairs re-scored by the golden aligner, {len(bad)} wrong")
     report_walls(rep, walls)
@@ -428,10 +483,10 @@ def start_daemon(bins, work, name):
     cmd = [bins["serve"], "--socket", path, "--kernel", "global-affine",
            "--nk", "2", "--threads", "2"]
     t0 = time.perf_counter()
-    p = PROCS.start(cmd, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    p = PROCS.start(cmd, 170, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
     kernel = b"global-affine"
     while True:
-        if p.poll() is not None:
+        if PROCS.exited(p):
             raise BenchError(f"dphls_serve exited early: {p.stderr.read().decode()[-400:]}")
         if time.perf_counter() - t0 > 30:
             raise BenchError("dphls_serve did not answer Hello")
@@ -457,57 +512,67 @@ def stop_daemon(p, path):
 
 
 def reap_daemon(p):
-    return PROCS.wait(p, 60)
+    return PROCS.wait(p)
 
 
 def serve_short(bins, work, seed, seconds, sz, rep):
     setups = []
-    for i in range(sz["setup_repeats"]):
-        p, path, t = start_daemon(bins, work, f"setup{i}.sock")
-        setups.append(t)
-        code, _ = stop_daemon(p, path)
-        if code != 0:
-            raise BenchError("dphls_serve exited non-zero after set-up")
+
+    def set_up(count):
+        for _ in range(count):
+            p, path, t = start_daemon(bins, work, f"setup{len(setups)}.sock")
+            setups.append(t)
+            code, _ = stop_daemon(p, path)
+            if code != 0:
+                raise BenchError("dphls_serve exited non-zero after set-up")
+
+    set_up(sz["serve_setup_repeats"] // 2)
 
     fixed_s = max(0.5, seconds * SERVE_FIXED_SHARE)
+    closed_n = max(500, round(CLOSED_SIZING_RPS * seconds * SERVE_CLOSED_SHARE))
     sweep_s = max(0.3, seconds * SERVE_SWEEP_SHARE)
     p, path, _ = start_daemon(bins, work, "serve.sock")
     res = probe_json(bins, "loadgen", "--socket", path, "--seed", str(seed),
                      "--rate", str(FIXED_RPS), "--seconds", str(fixed_s),
                      "--warmup", str(WARMUP_S),
+                     "--closed-requests", str(closed_n),
+                     "--in-flight", str(CLOSED_IN_FLIGHT),
                      "--sweep", ",".join(map(str, SWEEP_RPS)),
                      "--sweep-seconds", str(sweep_s),
-                     "--bulk-rps", str(BULK_RPS), "--bulk-chunk", str(BULK_CHUNK),
-                     "--deadline-ms", str(DEADLINE_MS),
                      "--shutdown", "1")
     code, rss = reap_daemon(p)
+    set_up(sz["serve_setup_repeats"] - len(setups))
 
-    fixed = res["phases"][0]
+    fixed, closed, sweep = res["phases"][0], res["phases"][1], res["phases"][2:]
     inter = fixed["interactive_ms"]
-    attempted = fixed["sent"]
+    attempted = fixed["sent"] + closed["sent"]
     # A reject counts as a miss; every unanswered request is a failure.
-    failed = fixed["rejected"] + fixed["unanswered"] + res["sample_mismatches"]
+    failed = (fixed["rejected"] + fixed["unanswered"] + closed["rejected"]
+              + closed["unanswered"] + res["sample_mismatches"])
     problems = []
     if res["protocol_errors"]:
         problems.append(f"{res['protocol_errors']} protocol errors")
     if not res["accounting_closed"] or code != 0:
         problems.append("accounting not closed")
-    for ph in res["phases"][1:]:
+    for ph in sweep:
         if ph["unanswered"]:
             problems.append(f"{ph['unanswered']} unanswered at {ph['rate']:.0f}/s")
-    if problems or not inter:
+    if problems or not inter or not closed["interactive_ms"]:
         raise BenchError("serve-short: " + (", ".join(problems) or "no answers"))
 
     def tail(ph):
         return windowed(ph["interactive_ms"], SERVE_WINDOWS, 0.99)
 
-    sustained = max((ph["rate"] for ph in res["phases"]
+    sustained = max((ph["rate"] for ph in [fixed] + sweep
                      if ph["interactive_ms"] and tail(ph) <= SLO_MS
                      and ph["rejected"] == 0 and ph["drain_s"] * 1e3 <= 20 * SLO_MS),
                     default=0.0)
     window = fixed["window_s"]
-    rep(f"# serve-short: fixed {FIXED_RPS:.0f}/s interactive + {BULK_RPS:.0f}/s bulk x "
-        f"{BULK_CHUNK} pairs for {fixed_s:.2f} s, sweep {SWEEP_RPS} x {sweep_s:.2f} s, "
+    rep(f"# serve-short: fixed {FIXED_RPS:.0f}/s interactive {res['min_len']}-"
+        f"{res['max_len']} bp, deadline {res['deadline_ms']:.0f} ms, + "
+        f"{res['bulk_rps']:.0f}/s bulk x {res['bulk_chunk']} pairs for {fixed_s:.2f} s; "
+        f"closed loop {closed_n} requests x {CLOSED_IN_FLIGHT} in flight in "
+        f"{closed['window_s']:.3f} s; sweep {SWEEP_RPS} x {sweep_s:.2f} s; "
         f"SLO p99 <= {SLO_MS:.0f} ms")
     rep(f"# latency: interactive due->response, {len(inter)} samples; p90 and p99 are "
         f"medians over {SERVE_WINDOWS} consecutive windows; bulk p99 of "
@@ -519,15 +584,18 @@ def serve_short(bins, work, seed, seconds, sz, rep):
     rep(f"goodput_rps {sum(1 for x in inter if x <= SLO_MS) / window:.2f} 1/s")
     rep(f"sustained_rps {sustained:.0f} 1/s")
     rep(f"bench.gen_lag_p99_ms {percentile(fixed['lag_ms'], 0.99):.4f} ms")
-    for ph in res["phases"][1:]:
+    rep(f"closed_p50_ms {statistics.median(closed['interactive_ms']):.4f} ms")
+    for ph in sweep:
         rep(f"#   sweep {ph['rate']:.0f}/s: p99 {tail(ph):.3f} ms, "
             f"{ph['rejected']} rejected, drain {1e3 * ph['drain_s']:.1f} ms")
-    rep(f"# server isa {res['isa_tier']}, {res['samples_checked']} sampled responses "
-        f"checked in-process, {res['sample_mismatches']} wrong")
+    rep(f"# server isa {res['isa_tier']}, {res['samples_checked']} sampled fixed-rate "
+        f"responses checked in-process, {res['sample_mismatches']} wrong")
+    # Throughput is the closed loop's: answered pairs and cells over its
+    # window, a rate the daemon sets rather than the generator.
     return {
         "setup_s": statistics.median(setups),
-        "gcups": fixed["cells"] / window / 1e9,
-        "reads_per_s": fixed["pairs"] / window,
+        "gcups": closed["cells"] / closed["window_s"] / 1e9,
+        "reads_per_s": closed["pairs"] / closed["window_s"],
         "peak_rss_mb": rss,
     }, attempted, failed
 
@@ -607,6 +675,7 @@ def main():
         else:
             values, attempted, failed = WORKLOADS[args.workload](
                 bins, work, args.seed, args.seconds, sz, lines.append)
+            lines.append(f"failed_frac {failed / attempted:.6g} ratio")
         for line in lines:
             print(line)
         metrics = {}
